@@ -2,8 +2,9 @@
 """CI smoke test for scale-out serving: pool → router → load harness.
 
 Exports a tiny synthetic artifact as a shared mmap bundle, deploys it as
-a 2-worker × 2-shard :class:`WorkerPool` behind the shard router, and
-runs a quick closed-loop sweep against both that topology and the
+a 2-worker × 4-shard :class:`WorkerPool` behind the shard router (each
+worker owns two shards, filtered by one service), and runs a quick
+closed-loop micro-batched sweep against both that topology and the
 single-process baseline.  Asserts:
 
 * wire parity — every probed user's top-K (items *and* scores) served by
@@ -35,7 +36,7 @@ from repro.bench.harness import validate_result, write_result
 from repro.bench.load import sweep, synthetic_bundle
 
 WORKERS = [0, 2]
-SHARDS = 2
+SHARDS = 4
 CONCURRENCY = [1, 4]
 REQUESTS = 32
 

@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ...backend import get_backend
+from ...serve.batching import MicroBatcher
 from ...serve.errors import ServeError
 from ...serve.http import create_server
 from ...serve.service import RecommenderService
@@ -76,13 +77,17 @@ def deploy(
     ``workers == 0`` is the baseline: one in-process
     :class:`RecommenderService` behind the threaded HTTP server.
     ``workers >= 1`` forks a :class:`~repro.serve.pool.WorkerPool` and
-    fronts it with the shard router.  Caching defaults to **off** so the
-    harness measures scoring, not cache hits (a closed-loop sweep revisits
-    users, and a warm LRU would flatter every topology equally).
+    fronts it with the shard router.  Either way each serving process
+    gets a :class:`MicroBatcher` of ``micro_batch`` when it is positive,
+    and an LRU of ``cache_size`` per owned shard.  Caching defaults to
+    **off** so the harness measures scoring, not cache hits (a
+    closed-loop sweep revisits users, and a warm LRU would flatter every
+    topology equally).
     """
     if workers == 0:
         service = RecommenderService(artifact_path, cache_size=cache_size)
-        server = create_server(service, host=host, port=0)
+        batcher = MicroBatcher(service, max_batch=micro_batch) if micro_batch > 0 else None
+        server = create_server(service, host=host, port=0, batcher=batcher)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -267,11 +272,12 @@ def sweep(
 ) -> dict:
     """Run the full ``workers × concurrency`` grid; return a bench document.
 
-    With ``cache_size > 0`` every worker gets a per-process LRU of that
-    capacity and each deployment is warmed with two full passes over the
+    With ``cache_size > 0`` every serving process gets one LRU of
+    ``cache_size`` per shard it owns (the single-process baseline owns
+    one), and each deployment is warmed with two full passes over the
     user space before its first measured cell — the configuration that
-    exposes the *aggregate cache* benefit of sharding (each shard's LRU
-    only has to hold its own users).
+    exposes the *aggregate cache* benefit of sharding (each worker's LRU
+    only has to hold its own shards' users).
     """
     reference = RecommenderService(artifact_path, cache_size=0)
     n_users = reference.n_users
@@ -407,10 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--requests", type=int, default=200, metavar="N",
                         help="requests per grid cell (default: 200)")
     parser.add_argument("--micro-batch", type=int, default=0, metavar="B",
-                        help="per-shard micro-batch bound for pooled cells (0 disables)")
+                        help="per-worker micro-batch bound, also for the w0 "
+                        "single-process cells (0 disables)")
     parser.add_argument("--cache", type=int, default=0, metavar="C",
-                        help="per-worker LRU capacity; deployments are cache-warmed "
-                        "before measuring (0 = uncached scoring throughput)")
+                        help="LRU capacity per shard (a worker owning S shards holds "
+                        "C*S); deployments are cache-warmed before measuring "
+                        "(0 = uncached scoring throughput)")
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--quick", action="store_true",
                         help="smoke mode: 32 requests per cell, flags the document")

@@ -62,9 +62,10 @@ __all__ = [
 def exact_masked_scores(scorer, indptr, indices, users, exclude_seen: bool) -> np.ndarray:
     """Batched float64 scores with seen items masked to ``-inf``.
 
-    Mirrors ``RecommenderService._masked_scores`` / the offline
-    evaluator: same dtype, same CSR row slicing, same ``-inf`` masking,
-    so rankings agree exactly.
+    The one exact masking path, shared by :class:`~repro.serve.RecommenderService`
+    and :class:`ExactIndex`.  It mirrors the offline evaluator: same
+    dtype, same CSR row slicing, same ``-inf`` masking, so rankings
+    agree exactly.
     """
     users = np.asarray(users, dtype=np.int64)
     scores = np.asarray(scorer.score_users(users), dtype=np.float64)

@@ -23,11 +23,14 @@ Scale-out layer (``docs/SERVE.md`` → *Scaling & load testing*):
   :func:`publish_artifact` flips a deployment symlink atomically;
 * :func:`shard_for_user` / :class:`ShardMap` — deterministic user-hash
   sharding shared by router, workers and clients;
-* :class:`ShardedService` — in-process sharded facade (optionally
-  micro-batched via :class:`MicroBatcher`), bit-identical to a flat
-  :class:`RecommenderService`;
-* :class:`WorkerPool` + :func:`create_router` — forked shard workers
-  behind an HTTP router, with hot-swap watching;
+  ``RecommenderService(shards=(owned, n_shards))`` serves only the
+  owned shards' users (421 for the rest), bit-identical to a flat
+  service for those it owns;
+* :class:`MicroBatcher` — coalesces concurrent ``/recommend`` calls
+  into one batched scoring pass (``create_server(..., batcher=...)``);
+* :class:`WorkerPool` + :func:`create_router` — forked workers, each one
+  shard-owning service (plus a batcher), behind an HTTP router, with
+  hot-swap watching;
 * ``python -m repro.bench.load`` — the closed-loop load harness that
   sweeps workers × concurrency into a ``repro.bench/v1`` report.
 """
@@ -54,7 +57,7 @@ from .errors import (
 )
 from .http import ServiceHTTPServer, create_server, serve_until_drained
 from .pool import ArtifactWatcher, WorkerPool
-from .router import RouterHTTPServer, ShardedService, create_router
+from .router import RouterHTTPServer, create_router
 from .scoring import SCORE_FNS, FrozenScorer
 from .service import RecommenderService
 from .shared import (
@@ -88,7 +91,6 @@ __all__ = [
     "create_server",
     "serve_until_drained",
     "MicroBatcher",
-    "ShardedService",
     "RouterHTTPServer",
     "create_router",
     "WorkerPool",

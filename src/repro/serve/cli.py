@@ -7,12 +7,16 @@ Usage:
     python -m repro serve models/taxorec.npz --port 8731 --index-k 100
     python -m repro serve models/taxorec --workers 2 --shards 4 --micro-batch 32
 
-Single-process mode (``--workers 0``, the default) serves one
-:class:`RecommenderService` directly.  Pool mode forks ``--workers``
-shard-scoped worker processes (``repro.serve.pool``) behind a user-hash
-shard router (``repro.serve.router``); point it at a shared bundle
-directory (``--shared`` export) and the workers mmap one physical copy
-of the score arrays.
+Both modes serve the same thing per process: one
+:class:`RecommenderService`, plus one :class:`MicroBatcher` when
+``--micro-batch B`` is positive, behind the JSON HTTP server.
+Single-process mode (``--workers 0``, the default) runs it directly.
+Pool mode forks ``--workers`` worker processes (``repro.serve.pool``),
+each owning a subset of the ``--shards``, behind a user-hash shard
+router (``repro.serve.router``); point it at a shared bundle directory
+(``--shared`` export) and the workers mmap one physical copy of the
+score arrays.  ``--shards`` and ``--hot-swap-poll`` need pool mode;
+``--fold-in`` needs single-process mode.
 
 ``--max-requests N`` bounds either mode for smoke tests: the server
 counts *completed responses* and drains cleanly — the Nth reply is fully
@@ -28,6 +32,7 @@ import sys
 from ..backend import UnknownBackendError, activate_backend, available_backends
 from ..retrieval import UnknownRetrievalError, activate_retrieval, available_retrieval
 from .artifact import export_from_checkpoint, load_artifact
+from .batching import MicroBatcher
 from .errors import ServeError
 from .http import create_server, serve_until_drained
 from .service import RecommenderService
@@ -72,7 +77,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8731, help="0 picks an ephemeral port")
     parser.add_argument("--cache-size", type=int, default=1024, metavar="N",
-                        help="LRU response-cache capacity (0 disables)")
+                        help="LRU response-cache capacity per shard; a worker owning "
+                        "S shards holds N*S responses (0 disables)")
     parser.add_argument("--index-k", type=int, default=0, metavar="K",
                         help="precompute a top-K index for all users at startup")
     parser.add_argument("--max-requests", type=int, default=0, metavar="N",
@@ -82,10 +88,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="fork N shard-scoped worker processes behind a router "
                         "(0 = single-process serving, the default)")
     parser.add_argument("--shards", type=int, default=0, metavar="M",
-                        help="shard the user space M ways (default: one per worker)")
+                        help="shard the user space M ways (default: one per worker; "
+                        "workers only)")
     parser.add_argument("--micro-batch", type=int, default=0, metavar="B",
                         help="coalesce concurrent /recommend calls into batches of "
-                        "up to B per shard (0 disables)")
+                        "up to B per worker, or in the single server (0 disables)")
     parser.add_argument("--hot-swap-poll", type=float, default=0.0, metavar="SECS",
                         help="poll the artifact path every SECS seconds and hot-swap "
                         "when its target changes (0 disables; workers only)")
@@ -178,8 +185,10 @@ def _serve_single(args) -> int:
             f"(generation {folded.meta['stream']['generation']})",
             flush=True,
         )
+    batcher = MicroBatcher(service, max_batch=args.micro_batch) if args.micro_batch > 0 else None
     server = create_server(
-        service, host=args.host, port=args.port, max_requests=args.max_requests
+        service, host=args.host, port=args.port, max_requests=args.max_requests,
+        batcher=batcher,
     )
     host, port = server.server_address[:2]
     print(
@@ -261,4 +270,8 @@ def serve_main(argv: list[str]) -> int:
             print("--fold-in requires single-process serving (--workers 0)", file=sys.stderr)
             return 2
         return _serve_pool(args)
+    for flag, value in (("--shards", args.shards), ("--hot-swap-poll", args.hot_swap_poll)):
+        if value:
+            print(f"{flag} requires pool serving (--workers N)", file=sys.stderr)
+            return 2
     return _serve_single(args)

@@ -4,8 +4,10 @@ No web framework — ``http.server`` from the standard library, threaded so
 concurrent clients do not serialise behind one socket.  Routes:
 
 * ``GET  /health``      → ``{"status": "ok", "model": ..., "schema": ...}``
-* ``GET  /stats``       → the service's :meth:`stats` snapshot
+* ``GET  /stats``       → the service's :meth:`stats` snapshot, plus the
+  micro-batcher's counters under ``"batching"`` when there is one
 * ``GET  /recommend?user=U&k=K&exclude_seen=1`` → top-K items + scores
+  (through the optional :class:`~repro.serve.batching.MicroBatcher`)
 * ``POST /score``       → body ``{"user": U, "items": [...]}`` → scores
 
 Handlers speak HTTP/1.1 with explicit ``Content-Length``, so load
@@ -176,11 +178,23 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
 
 class ServiceHTTPServer(JSONHTTPServer):
-    """Threaded HTTP server bound to one recommend/score service."""
+    """Threaded HTTP server bound to one recommend/score service.
 
-    def __init__(self, address: tuple[str, int], service, max_requests: int = 0):
+    With a ``batcher`` (a :class:`~repro.serve.batching.MicroBatcher`
+    over ``service``), concurrent ``/recommend`` calls coalesce into
+    batched scoring passes.  The server owns the batcher and closes it
+    in :meth:`server_close`, after the handler threads are done.
+    """
+
+    def __init__(self, address: tuple[str, int], service, max_requests: int = 0, batcher=None):
         super().__init__(address, _Handler, max_requests)
         self.service = service
+        self.batcher = batcher
+
+    def server_close(self) -> None:
+        super().server_close()
+        if self.batcher is not None:
+            self.batcher.close()
 
 
 class _Handler(JSONRequestHandler):
@@ -192,7 +206,7 @@ class _Handler(JSONRequestHandler):
         if url.path == "/health":
             self._guarded(self._health)
         elif url.path == "/stats":
-            self._guarded(lambda: (200, self.server.service.stats()))
+            self._guarded(self._stats)
         elif url.path == "/recommend":
             self._guarded(lambda: self._recommend(parse_qs(url.query)))
         else:
@@ -217,6 +231,12 @@ class _Handler(JSONRequestHandler):
             "n_items": service.n_items,
         }
 
+    def _stats(self) -> tuple[int, dict]:
+        stats = self.server.service.stats()
+        if self.server.batcher is not None:
+            stats["batching"] = self.server.batcher.stats()
+        return 200, stats
+
     def _recommend(self, query: dict[str, list[str]]) -> tuple[int, dict]:
         if "user" not in query:
             raise BadRequestError("missing required query parameter 'user'")
@@ -227,7 +247,8 @@ class _Handler(JSONRequestHandler):
             if "exclude_seen" in query
             else True
         )
-        items, scores = self.server.service.recommend(user, k, exclude_seen=exclude_seen)
+        recommender = self.server.batcher or self.server.service
+        items, scores = recommender.recommend(user, k, exclude_seen=exclude_seen)
         return 200, {
             "user": user,
             "k": int(len(items)),
@@ -249,16 +270,19 @@ class _Handler(JSONRequestHandler):
 
 
 def create_server(
-    service, host: str = "127.0.0.1", port: int = 0, max_requests: int = 0
+    service, host: str = "127.0.0.1", port: int = 0, max_requests: int = 0, batcher=None
 ) -> ServiceHTTPServer:
     """Bind a threaded JSON server to ``(host, port)`` (0 = ephemeral port).
 
+    ``batcher`` is an optional :class:`~repro.serve.batching.MicroBatcher`
+    over ``service``; the server routes ``/recommend`` through it and
+    closes it on ``server_close()``.
     The caller owns the lifecycle: ``serve_forever()`` to serve,
     ``shutdown()`` + ``server_close()`` to stop — or
     :func:`serve_until_drained` for bounded runs.
     ``server.server_address`` carries the bound port.
     """
-    return ServiceHTTPServer((host, port), service, max_requests=max_requests)
+    return ServiceHTTPServer((host, port), service, max_requests=max_requests, batcher=batcher)
 
 
 def serve_until_drained(server: JSONHTTPServer) -> None:

@@ -1,13 +1,17 @@
 """Multi-process worker pool: N shard-scoped HTTP workers + hot-swap watcher.
 
-:class:`WorkerPool` forks ``n_workers`` processes.  Worker ``w`` builds a
-:class:`~repro.serve.router.ShardedService` owning
-``ShardMap.shards_for_worker(w)`` and serves it on an ephemeral port
-(reported back to the parent over a pipe), so the pool needs no port
-configuration and never races another bind.  Point the pool at a
-*shared bundle* directory (``repro.serve.shared``) and every worker
-mmaps the same score arrays — one physical copy across the pool,
-courtesy of the page cache.
+:class:`WorkerPool` forks ``n_workers`` processes.  Worker ``w`` builds
+one :class:`~repro.serve.service.RecommenderService` owning
+``ShardMap.shards_for_worker(w)`` (``shards=(owned, n_shards)``), plus a
+:class:`~repro.serve.batching.MicroBatcher` when ``micro_batch > 0``, and
+serves it on an ephemeral port (reported back to the parent over a
+pipe), so the pool needs no port configuration and never races another
+bind.  Items are not sharded, so a worker keeps one scorer, one
+retrieval index and one LRU for all its shards; the LRU holds
+``cache_size`` responses per owned shard.  Point the pool at a *shared
+bundle* directory (``repro.serve.shared``) and every worker mmaps the
+same score arrays — one physical copy across the pool, courtesy of the
+page cache.
 
 Workers are forked, not spawned: numpy and the service code are already
 imported in the parent, so a worker is serving in milliseconds, and on
@@ -115,8 +119,9 @@ def _worker_main(
     from ..backend import ENV_VAR, set_backend
     from ..retrieval import ENV_VAR as RETRIEVAL_ENV_VAR
     from ..retrieval import set_retrieval
+    from .batching import MicroBatcher
     from .http import create_server
-    from .router import ShardedService
+    from .service import RecommenderService
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     # Resolve the compute backend from the environment explicitly rather
@@ -131,18 +136,16 @@ def _worker_main(
     set_retrieval(retrieval or os.environ.get(RETRIEVAL_ENV_VAR, "exact"))
     watcher = None
     server = None
-    service = None
     try:
-        service = ShardedService(
+        service = RecommenderService(
             artifact_path,
-            n_shards=n_shards,
-            shards=owned_shards,
             cache_size=cache_size,
             index_k=index_k,
-            micro_batch=micro_batch,
+            shards=(owned_shards, n_shards),
             retrieval_params=retrieval_params,
         )
-        server = create_server(service, host=host, port=0)
+        batcher = MicroBatcher(service, max_batch=micro_batch) if micro_batch > 0 else None
+        server = create_server(service, host=host, port=0, batcher=batcher)
         if hot_swap_poll_s > 0:
             watcher = ArtifactWatcher(artifact_path, service, poll_s=hot_swap_poll_s)
             watcher.start()
@@ -163,15 +166,16 @@ def _worker_main(
             watcher.stop()
         if server is not None:
             server.server_close()
-        if service is not None:
-            service.close()
 
 
 class WorkerPool:
     """``n_workers`` forked shard workers, ready to sit behind a router.
 
-    Parameters mirror :class:`~repro.serve.router.ShardedService`;
-    ``n_shards`` defaults to ``n_workers`` (one shard per worker).  The
+    Parameters mirror :class:`~repro.serve.service.RecommenderService`
+    (``cache_size`` is per owned shard) and
+    :class:`~repro.serve.batching.MicroBatcher` (``micro_batch`` is the
+    per-worker batch bound, 0 disables it); ``n_shards`` defaults to
+    ``n_workers`` (one shard per worker).  The
     constructor blocks until every worker reports its bound address, so
     a returned pool is immediately routable::
 

@@ -1,19 +1,14 @@
-"""Shard routing: one logical service over many shard-scoped backends.
+"""Shard routing: one HTTP endpoint over many shard-owning worker processes.
 
-Two deployment shapes share the same user → shard arithmetic
-(:mod:`repro.serve.sharding`):
-
-* :class:`ShardedService` — in-process composition: ``n_shards``
-  shard-scoped :class:`RecommenderService` instances over **one** loaded
-  artifact (arrays shared by reference), each optionally fronted by a
-  :class:`~repro.serve.batching.MicroBatcher`.  This is the shape the
-  parity suite exercises for every registered model: a sharded deployment
-  must be response-for-response bit-identical to a single service.
-* :class:`RouterHTTPServer` — process boundary: a thin HTTP proxy that
-  routes ``/recommend`` and ``/score`` to the worker process owning the
-  user's shard (``ShardMap.worker_for_user``) over keep-alive upstream
-  connections, and aggregates ``/health`` / ``/stats`` across workers.
-  The worker processes behind it come from :mod:`repro.serve.pool`.
+:class:`RouterHTTPServer` is a thin HTTP proxy that routes
+``/recommend`` and ``/score`` to the worker process owning the user's
+shard (``ShardMap.worker_for_user``, the arithmetic of
+:mod:`repro.serve.sharding`) over keep-alive upstream connections, and
+aggregates ``/health`` / ``/stats`` across workers.  The workers behind
+it come from :mod:`repro.serve.pool`: each runs one
+:class:`~repro.serve.service.RecommenderService` with
+``shards=(owned, n_shards)``, which answers a misrouted user with a 421
+rather than a wrong ranking.  Routing stays outside the scoring path.
 
 The router holds no model state: it never loads arrays, so it stays
 cheap, and a worker crash surfaces as a 502 on that worker's shards
@@ -26,204 +21,14 @@ import http.client
 import json
 import threading
 
-import numpy as np
-
 from ..utils import get_logger
-from .batching import MicroBatcher
 from .errors import BadRequestError, ServeError
 from .http import JSONHTTPServer, JSONRequestHandler, _parse_int
-from .service import RecommenderService
-from .sharding import ShardMap, shard_for_user
+from .sharding import ShardMap
 
-__all__ = ["ShardedService", "RouterHTTPServer", "create_router"]
+__all__ = ["RouterHTTPServer", "create_router"]
 
 logger = get_logger("repro.serve.router")
-
-
-class ShardedService:
-    """``n_shards`` shard-scoped services behind one routing facade.
-
-    Loads the artifact once and hands the same object to every shard
-    service, so memory stays flat in the shard count; each shard service
-    owns its slice of users (``shard=(s, n_shards)``) and its own cache.
-    With ``micro_batch > 0`` every shard gets a micro-batcher, so
-    concurrent callers coalesce per shard.
-
-    The facade re-exports the :class:`RecommenderService` request API
-    (``recommend`` / ``recommend_batch`` / ``score`` / ``seen_items`` /
-    ``swap_artifact`` / ``stats``) and routes each call by
-    :func:`shard_for_user` — callers cannot tell they are talking to a
-    sharded deployment except through :meth:`stats`.
-
-    ``shards`` restricts the instance to a subset of the shard space:
-    a pool worker owning ``ShardMap.shards_for_worker(w)`` instantiates
-    only those shards' services and rejects every other user with
-    :class:`~repro.serve.errors.ShardRoutingError` — the property the
-    router relies on to catch mis-routing.
-    """
-
-    def __init__(
-        self,
-        artifact,
-        n_shards: int,
-        cache_size: int = 1024,
-        index_k: int = 0,
-        micro_batch: int = 0,
-        shards: tuple[int, ...] | None = None,
-        retrieval: str | None = None,
-        retrieval_params: dict | None = None,
-    ):
-        if n_shards < 1:
-            raise BadRequestError(f"n_shards must be positive, got {n_shards}")
-        self.n_shards = int(n_shards)
-        owned = tuple(range(self.n_shards)) if shards is None else tuple(sorted(set(shards)))
-        if not owned:
-            raise BadRequestError("a sharded service must own at least one shard")
-        for s in owned:
-            if not 0 <= s < self.n_shards:
-                raise BadRequestError(f"shard {s} out of range for {self.n_shards} shard(s)")
-        self.owned_shards = owned
-        # Load once; every shard service shares the same frozen arrays.
-        probe = RecommenderService(artifact, cache_size=0)
-        shared_artifact = probe.artifact
-        self.services = {
-            s: RecommenderService(
-                shared_artifact,
-                cache_size=cache_size,
-                index_k=index_k,
-                shard=(s, self.n_shards),
-                retrieval=retrieval,
-                retrieval_params=retrieval_params,
-            )
-            for s in owned
-        }
-        self.batchers = (
-            {s: MicroBatcher(svc, max_batch=micro_batch) for s, svc in self.services.items()}
-            if micro_batch > 0
-            else None
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def _first(self) -> RecommenderService:
-        return self.services[self.owned_shards[0]]
-
-    @property
-    def artifact(self):
-        return self._first.artifact
-
-    @property
-    def n_users(self) -> int:
-        return self._first.n_users
-
-    @property
-    def n_items(self) -> int:
-        return self._first.n_items
-
-    @property
-    def artifact_version(self) -> int:
-        return self._first.artifact_version
-
-    def _shard_of(self, user) -> int:
-        try:
-            user = int(user)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"user id must be an integer, got {user!r}") from exc
-        shard = shard_for_user(user, self.n_shards)
-        if shard not in self.services:
-            from .errors import ShardRoutingError
-
-            raise ShardRoutingError(
-                f"user {user} belongs to shard {shard}/{self.n_shards}, "
-                f"but this deployment owns shards {list(self.owned_shards)}"
-            )
-        return shard
-
-    # ------------------------------------------------------------------
-    def recommend(self, user: int, k: int = 10, exclude_seen: bool = True):
-        shard = self._shard_of(user)
-        if self.batchers is not None:
-            return self.batchers[shard].recommend(user, k, exclude_seen)
-        return self.services[shard].recommend(user, k, exclude_seen=exclude_seen)
-
-    def recommend_batch(self, users, k: int = 10, exclude_seen: bool = True):
-        """Batched top-K across shards: one scoring pass per touched shard."""
-        users = list(np.atleast_1d(np.asarray(users)))
-        by_shard: dict[int, list[int]] = {}
-        for pos, user in enumerate(users):
-            by_shard.setdefault(self._shard_of(user), []).append(pos)
-        items_rows: list = [None] * len(users)
-        scores_rows: list = [None] * len(users)
-        for shard, positions in by_shard.items():
-            items, scores = self.services[shard].recommend_batch(
-                [users[p] for p in positions], k, exclude_seen
-            )
-            for row, pos in enumerate(positions):
-                items_rows[pos] = items[row]
-                scores_rows[pos] = scores[row]
-        return np.stack(items_rows), np.stack(scores_rows)
-
-    def score(self, user: int, items):
-        return self.services[self._shard_of(user)].score(user, items)
-
-    def seen_items(self, user: int):
-        return self.services[self._shard_of(user)].seen_items(user)
-
-    def check_request(self, user: int, k: int, exclude_seen: bool):
-        return self.services[self._shard_of(user)].check_request(user, k, exclude_seen)
-
-    # ------------------------------------------------------------------
-    def swap_artifact(self, artifact) -> int:
-        """Hot-swap every shard; returns the (common) new version.
-
-        Shards flip one at a time — each flip is individually atomic, so
-        no *response* is ever torn; during the sweep different shards can
-        briefly serve different versions, which is the same contract a
-        multi-process rolling deploy gives.
-        """
-        from .artifact import ModelArtifact, load_artifact
-        from pathlib import Path
-
-        if not isinstance(artifact, ModelArtifact):
-            artifact = load_artifact(Path(artifact))
-        version = self.artifact_version
-        for svc in self.services.values():
-            version = svc.swap_artifact(artifact)
-        return version
-
-    def invalidate(self) -> None:
-        for svc in self.services.values():
-            svc.invalidate()
-
-    def stats(self) -> dict:
-        """Aggregate + per-shard counters (shape differs from a flat service)."""
-        shards = {s: svc.stats() for s, svc in self.services.items()}
-        first = shards[self.owned_shards[0]]
-        totals = {
-            "recommend": sum(s["requests"]["recommend"] for s in shards.values()),
-            "score": sum(s["requests"]["score"] for s in shards.values()),
-        }
-        totals["total"] = totals["recommend"] + totals["score"]
-        out = {
-            "model": first["model"],
-            "score_fn": first["score_fn"],
-            "n_users": first["n_users"],
-            "n_items": first["n_items"],
-            "n_shards": self.n_shards,
-            "owned_shards": list(self.owned_shards),
-            "artifact": first["artifact"],
-            "retrieval": first["retrieval"],
-            "requests": totals,
-            "shards": {str(s): stats for s, stats in shards.items()},
-        }
-        if self.batchers is not None:
-            out["batching"] = {str(s): b.stats() for s, b in self.batchers.items()}
-        return out
-
-    def close(self) -> None:
-        if self.batchers is not None:
-            for batcher in self.batchers.values():
-                batcher.close()
 
 
 # ----------------------------------------------------------------------
@@ -292,9 +97,6 @@ class RouterHTTPServer(JSONHTTPServer):
                         f"worker {worker} at {self.workers[worker]} unreachable: {exc}"
                     ) from exc
 
-    def server_close(self) -> None:  # pragma: no cover - plumbing
-        super().server_close()
-
 
 class _RouterHandler(JSONRequestHandler):
     server: RouterHTTPServer
@@ -308,7 +110,7 @@ class _RouterHandler(JSONRequestHandler):
         elif url.path == "/stats":
             self._guarded(self._stats)
         elif url.path == "/recommend":
-            self._proxy_by_user(parse_qs(url.query), "GET", self.path, None)
+            self._proxy(lambda: self._recommend_request(parse_qs(url.query)))
         else:
             self._reply(404, {"error": f"unknown path {url.path!r}"})
 
@@ -317,7 +119,7 @@ class _RouterHandler(JSONRequestHandler):
 
         url = urlparse(self.path)
         if url.path == "/score":
-            self._guarded_proxy_score()
+            self._proxy(self._score_request)
         else:
             self._reply(404, {"error": f"unknown path {url.path!r}"})
 
@@ -325,11 +127,14 @@ class _RouterHandler(JSONRequestHandler):
     def _route(self, user: int) -> int:
         return self.server.shard_map.worker_for_user(user)
 
-    def _proxy_by_user(self, query: dict[str, list[str]], method, path, body) -> None:
+    def _proxy(self, request) -> None:
+        """Forward ``request()`` → ``(user, method, path, body)`` to the user's worker.
+
+        The worker's reply is relayed unchanged.  A malformed request is a
+        400; an unreachable worker (any other :class:`ServeError`) is a 502.
+        """
         try:
-            if "user" not in query:
-                raise BadRequestError("missing required query parameter 'user'")
-            user = _parse_int(query["user"][0], "user")
+            user, method, path, body = request()
             status, payload = self.server.forward(self._route(user), method, path, body)
         except ServeError as exc:
             code = 502 if not isinstance(exc, BadRequestError) else exc.http_status
@@ -337,19 +142,17 @@ class _RouterHandler(JSONRequestHandler):
             return
         self._reply_raw(status, payload)
 
-    def _guarded_proxy_score(self) -> None:
-        try:
-            body = self._read_json_body()
-            if not isinstance(body, dict) or "user" not in body:
-                raise BadRequestError("body must be a JSON object with 'user' and 'items'")
-            user = _parse_int(str(body["user"]), "user")
-            raw = json.dumps(body).encode("utf-8")
-            status, payload = self.server.forward(self._route(user), "POST", "/score", raw)
-        except ServeError as exc:
-            code = 502 if not isinstance(exc, BadRequestError) else exc.http_status
-            self._reply(code, {"error": str(exc), "type": type(exc).__name__})
-            return
-        self._reply_raw(status, payload)
+    def _recommend_request(self, query: dict[str, list[str]]) -> tuple:
+        if "user" not in query:
+            raise BadRequestError("missing required query parameter 'user'")
+        return _parse_int(query["user"][0], "user"), "GET", self.path, None
+
+    def _score_request(self) -> tuple:
+        body = self._read_json_body()
+        if not isinstance(body, dict) or "user" not in body:
+            raise BadRequestError("body must be a JSON object with 'user' and 'items'")
+        user = _parse_int(str(body["user"]), "user")
+        return user, "POST", "/score", json.dumps(body).encode("utf-8")
 
     # ------------------------------------------------------------------
     def _health(self) -> tuple[int, dict]:

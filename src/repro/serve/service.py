@@ -26,9 +26,9 @@ Around that core sit the serving conveniences:
   rebuilt on the *new* snapshot before a swap is installed;
 * a bounded LRU response cache with explicit invalidation;
 * per-request latency / hit-rate counters surfaced by :meth:`stats`;
-* optional shard ownership (``shard=(shard_id, n_shards)``): a service
-  deployed as one shard of a pool rejects users it does not own with
-  :class:`~repro.serve.errors.ShardRoutingError`;
+* optional shard ownership (``shards=(owned_ids, n_shards)``): a pool
+  worker runs one service for all the shards it owns and rejects every
+  other user with :class:`~repro.serve.errors.ShardRoutingError`;
 * :meth:`recommend_batch` — the micro-batching entry point: many users,
   one batched matmul, responses bit-identical to per-user calls (the
   frozen scorers are batch-size invariant; see ``scoring.py``).
@@ -46,6 +46,7 @@ import numpy as np
 from ..eval.metrics import rank_topk
 from ..retrieval import build_index as build_retrieval_index
 from ..retrieval import get_retrieval
+from ..retrieval.indexes import exact_masked_scores
 from .artifact import ModelArtifact, load_artifact
 from .errors import BadRequestError, ShardRoutingError
 from .sharding import shard_for_user
@@ -85,15 +86,19 @@ class RecommenderService:
         one (``.npz`` file or shared bundle directory; loaded and
         validated on construction).
     cache_size:
-        Capacity of the per-request LRU cache (0 disables caching).
+        LRU response-cache capacity per owned shard (0 disables caching).
+        An unsharded service holds ``cache_size`` responses; one with
+        ``shards=(owned_ids, n_shards)`` holds ``cache_size *
+        len(owned_ids)``, as much as one LRU per shard would.
     index_k:
         When positive, precompute a top-``index_k`` index for every user
         at construction; ``recommend`` serves any ``k <= index_k`` with
         ``exclude_seen=True`` straight from the index.
-    shard:
-        Optional ``(shard_id, n_shards)``: this instance serves only the
-        users whose :func:`~repro.serve.sharding.shard_for_user` equals
-        ``shard_id`` and rejects the rest with :class:`ShardRoutingError`.
+    shards:
+        Optional ``(owned_ids, n_shards)``: this instance serves only the
+        users whose :func:`~repro.serve.sharding.shard_for_user` is in
+        ``owned_ids`` and rejects the rest with :class:`ShardRoutingError`.
+        An empty or out-of-range ``owned_ids`` is a :class:`BadRequestError`.
     retrieval:
         Candidate-index kind from :func:`repro.retrieval.available_retrieval`
         (``None`` resolves the process-wide :func:`repro.retrieval.get_retrieval`
@@ -114,20 +119,20 @@ class RecommenderService:
         artifact,
         cache_size: int = 1024,
         index_k: int = 0,
-        shard: tuple[int, int] | None = None,
+        shards: tuple[tuple[int, ...], int] | None = None,
         retrieval: str | None = None,
         retrieval_params: dict | None = None,
     ):
         if not isinstance(artifact, ModelArtifact):
             artifact = load_artifact(Path(artifact))
-        if shard is not None:
-            shard_id, n_shards = int(shard[0]), int(shard[1])
-            if not 0 <= shard_id < n_shards:
-                raise BadRequestError(
-                    f"shard id {shard_id} out of range for {n_shards} shard(s)"
-                )
-            shard = (shard_id, n_shards)
-        self.shard = shard
+        if shards is not None:
+            owned, n_shards = tuple(sorted({int(s) for s in shards[0]})), int(shards[1])
+            if not owned:
+                raise BadRequestError("a sharded service must own at least one shard")
+            if owned[0] < 0 or owned[-1] >= n_shards:
+                raise BadRequestError(f"shards {list(owned)} out of range for {n_shards} shard(s)")
+            shards = (owned, n_shards)
+        self.shards = shards
         self._retrieval_spec = (
             retrieval if retrieval is not None else get_retrieval(),
             dict(retrieval_params or {}),
@@ -136,7 +141,7 @@ class RecommenderService:
         self._build_retrieval(self._engine)
         self._lock = threading.Lock()
         self._cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._cache_capacity = max(int(cache_size), 0)
+        self._cache_capacity = max(int(cache_size), 0) * (1 if shards is None else len(shards[0]))
         self._counts = {"recommend": 0, "score": 0}
         self._cache_stats = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
         self._latency = {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
@@ -200,13 +205,13 @@ class RecommenderService:
             raise BadRequestError(
                 f"user id {user} out of range for a model with {engine.n_users} users"
             )
-        if self.shard is not None:
-            shard_id, n_shards = self.shard
+        if self.shards is not None:
+            owned, n_shards = self.shards
             owner = shard_for_user(user, n_shards)
-            if owner != shard_id:
+            if owner not in owned:
                 raise ShardRoutingError(
                     f"user {user} belongs to shard {owner}/{n_shards}, "
-                    f"but this worker serves shard {shard_id}"
+                    f"but this worker serves shards {list(owned)}"
                 )
         return user
 
@@ -251,28 +256,6 @@ class RecommenderService:
     # ------------------------------------------------------------------
     # Scoring core
     # ------------------------------------------------------------------
-    def _masked_scores(
-        self, engine: _Engine, users: np.ndarray, exclude_seen: bool
-    ) -> np.ndarray:
-        """Batched float64 scores with seen items masked to ``-inf``.
-
-        Mirrors :func:`repro.eval.evaluator.evaluate`: same dtype, same
-        CSR row slicing, same ``-inf`` masking, so rankings agree exactly.
-        """
-        scores = np.asarray(engine.scorer.score_users(users), dtype=np.float64)
-        if exclude_seen:
-            indptr = engine.artifact.seen_indptr
-            indices = engine.artifact.seen_indices
-            starts, stops = indptr[users], indptr[users + 1]
-            rows = np.repeat(np.arange(len(users)), stops - starts)
-            cols = (
-                np.concatenate([indices[a:b] for a, b in zip(starts, stops)])
-                if len(rows)
-                else np.zeros(0, dtype=np.int64)
-            )
-            scores[rows, cols] = -np.inf
-        return scores
-
     def recommend(
         self, user: int, k: int = 10, exclude_seen: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,12 +313,15 @@ class RecommenderService:
         if missing:
             batch = np.asarray(missing, dtype=np.int64)
             retr = engine.retrieval
-            if retr is not None and retr.kind != "exact":
+            if retr.kind != "exact":
                 # Bit-identical to the per-user path by construction
                 # (topk_batch is a per-user loop over index.topk).
                 top, values = retr.topk_batch(batch, k, exclude_seen)
             else:
-                scores = self._masked_scores(engine, batch, exclude_seen)
+                scores = exact_masked_scores(
+                    engine.scorer, engine.artifact.seen_indptr, engine.artifact.seen_indices,
+                    batch, exclude_seen,
+                )
                 top = rank_topk(scores, k)
                 values = np.take_along_axis(scores, top, axis=1)
             with self._lock:
@@ -361,10 +347,13 @@ class RecommenderService:
             # total order, so smaller k lists are prefixes of larger ones.
             return index["items"][user, :k], index["scores"][user, :k]
         retr = engine.retrieval
-        if retr is not None and retr.kind != "exact":
+        if retr.kind != "exact":
             return retr.topk(user, k, exclude_seen)
         users = np.asarray([user], dtype=np.int64)
-        scores = self._masked_scores(engine, users, exclude_seen)
+        scores = exact_masked_scores(
+            engine.scorer, engine.artifact.seen_indptr, engine.artifact.seen_indices,
+            users, exclude_seen,
+        )
         top = rank_topk(scores, k)[0]
         return top, scores[0, top]
 
@@ -376,8 +365,9 @@ class RecommenderService:
         items = self._check_items(items, engine)
         with self._lock:
             self._counts["score"] += 1
-        full = self._masked_scores(
-            engine, np.asarray([user], dtype=np.int64), exclude_seen=False
+        full = exact_masked_scores(
+            engine.scorer, engine.artifact.seen_indptr, engine.artifact.seen_indices,
+            [user], exclude_seen=False,
         )[0]
         out = full[items]
         self._record_latency(time.perf_counter() - t0)
@@ -396,7 +386,10 @@ class RecommenderService:
         scores = np.zeros((engine.n_users, k), dtype=np.float64)
         for start in range(0, engine.n_users, batch_users):
             users = np.arange(start, min(start + batch_users, engine.n_users), dtype=np.int64)
-            batch_scores = self._masked_scores(engine, users, exclude_seen)
+            batch_scores = exact_masked_scores(
+                engine.scorer, engine.artifact.seen_indptr, engine.artifact.seen_indices,
+                users, exclude_seen,
+            )
             top = rank_topk(batch_scores, k)
             items[start : start + len(users)] = top
             scores[start : start + len(users)] = np.take_along_axis(batch_scores, top, axis=1)
@@ -505,9 +498,9 @@ class RecommenderService:
                 "n_users": engine.n_users,
                 "n_items": engine.n_items,
                 "artifact": {"version": engine.version, "swaps": self._swaps},
-                "shard": None
-                if self.shard is None
-                else {"shard": self.shard[0], "n_shards": self.shard[1]},
+                "shards": None
+                if self.shards is None
+                else {"owned": list(self.shards[0]), "n_shards": self.shards[1]},
                 "requests": {
                     "recommend": self._counts["recommend"],
                     "score": self._counts["score"],
@@ -521,9 +514,7 @@ class RecommenderService:
                 "index": None
                 if index is None
                 else {"k": index["k"], "exclude_seen": index["exclude_seen"]},
-                "retrieval": None
-                if engine.retrieval is None
-                else engine.retrieval.provenance(),
+                "retrieval": engine.retrieval.provenance(),
                 # Fold-in provenance (repro.stream): which users/items were
                 # solved online and the artifact's stream generation.
                 "stream": None

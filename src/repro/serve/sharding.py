@@ -10,7 +10,7 @@ lean on.
 
 ``ShardMap`` adds the second level: which worker process owns which
 shard.  Shards are striped round-robin over workers so ``n_shards`` can
-exceed ``n_workers`` (the CI smoke runs 2 workers × 2 shards; a
+exceed ``n_workers`` (the CI smoke runs 2 workers × 4 shards; a
 re-shard from N to M workers keeps the user → shard function unchanged
 and only remaps shard → worker).
 """

@@ -161,6 +161,16 @@ class TestSweep:
         for record in result["benchmarks"]:
             assert record["workload"]["errors"] == 0
 
+    def test_deploy_single_process_honours_micro_batch(self, artifact_path):
+        from repro.bench.load import _fetch_json
+
+        with deploy(artifact_path, workers=0, micro_batch=4) as (host, port):
+            assert len(_fetch_json(host, port, "/recommend?user=0&k=5")["items"]) == 5
+            stats = _fetch_json(host, port, "/stats")
+        assert stats["batching"]["requests"] == 1
+        with deploy(artifact_path, workers=0) as (host, port):
+            assert "batching" not in _fetch_json(host, port, "/stats")
+
     def test_deploy_pool_serves_health(self, artifact_path, tmp_path):
         from repro.serve import export_shared
         import http.client

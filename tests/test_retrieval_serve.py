@@ -22,7 +22,7 @@ from repro.retrieval import (
     set_retrieval,
     use_retrieval,
 )
-from repro.serve import RecommenderService, ShardedService, export_payload, load_artifact
+from repro.serve import RecommenderService, export_payload, load_artifact, shard_for_user
 from repro.serve.cli import _apply_retrieval
 
 from tests.conftest import make_frozen_payload
@@ -188,13 +188,11 @@ def test_recommend_batch_matches_single_calls(artifact):
 
 def test_sharded_service_carries_retrieval(artifact):
     flat = RecommenderService(artifact)
-    sharded = ShardedService(artifact, n_shards=3, retrieval="blockwise")
-    try:
-        assert sharded.stats()["retrieval"]["index"] == "blockwise"
-        for user in range(0, artifact.n_users, 11):
-            items, scores = sharded.recommend(user, k=10)
-            ref_items, ref_scores = flat.recommend(user, k=10)
-            np.testing.assert_array_equal(items, ref_items)
-            np.testing.assert_array_equal(scores, ref_scores)
-    finally:
-        sharded.close()
+    sharded = RecommenderService(artifact, shards=((0, 2), 3), retrieval="blockwise")
+    assert sharded.stats()["retrieval"]["index"] == "blockwise"
+    owned = [u for u in range(artifact.n_users) if shard_for_user(u, 3) in (0, 2)]
+    for user in owned[::5]:
+        items, scores = sharded.recommend(user, k=10)
+        ref_items, ref_scores = flat.recommend(user, k=10)
+        np.testing.assert_array_equal(items, ref_items)
+        np.testing.assert_array_equal(scores, ref_scores)

@@ -95,6 +95,42 @@ class TestServeCLI:
         assert process.returncode == 0, process.stderr.read()
 
 
+    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--hot-swap-poll", "0.5"]])
+    def test_pool_only_flags_without_workers_exit_2(self, flag, tmp_path, capsys):
+        assert serve_main([str(tmp_path / "model.npz"), *flag]) == 2
+        assert f"{flag[0]} requires pool serving" in capsys.readouterr().err
+
+    def test_micro_batch_applies_to_single_process(self, tiny_run_dir, tmp_path):
+        artifact = tmp_path / "cml.npz"
+        assert export_main([str(tiny_run_dir), "--out", str(artifact)]) == 0
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", str(artifact),
+                "--port", "0", "--max-requests", "2", "--micro-batch", "4",
+            ],
+            cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            base = process.stdout.readline().strip().rsplit(" on ", 1)[1]
+            with urllib.request.urlopen(f"{base}/recommend?user=0&k=5", timeout=10) as response:
+                assert len(json.loads(response.read())["items"]) == 5
+            with urllib.request.urlopen(f"{base}/stats", timeout=10) as response:
+                stats = json.loads(response.read())
+            assert stats["batching"]["requests"] == 1
+            assert stats["batching"]["max_batch"] == 1
+        finally:
+            try:
+                process.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, process.stderr.read()
+
+
 class TestDispatch:
     def test_export_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:

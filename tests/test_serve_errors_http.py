@@ -142,7 +142,7 @@ def real_base(tiny_split, tmp_path_factory):
         train=train,
         model_name="Dense",
     )
-    service = RecommenderService(path, shard=(0, 4))
+    service = RecommenderService(path, shards=((0,), 4))
     server, thread = _serve(service)
     yield server.server_address[:2], service
     server.shutdown()

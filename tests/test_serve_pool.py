@@ -109,6 +109,21 @@ class TestPoolParity:
             assert body["items"] == [int(i) for i in ref_items], f"user {user}"
             assert body["scores"] == [float(s) for s in ref_scores], f"user {user}"
 
+    def test_worker_cache_holds_cache_size_per_owned_shard(self, artifacts, router_for):
+        """One service per worker: its LRU holds ``cache_size`` × owned shards."""
+        _, base = router_for(artifacts["DenseV1"]["bundle"], n_workers=2, n_shards=4,
+                             cache_size=16, micro_batch=8)
+        for user in range(6):
+            assert _get(base, f"/recommend?user={user}&k=3")[0] == 200
+        _, stats = _get(base, "/stats")
+        workers = stats["workers"]
+        assert [w["shards"] for w in workers] == [
+            {"owned": [0, 2], "n_shards": 4},
+            {"owned": [1, 3], "n_shards": 4},
+        ]
+        assert [w["cache"]["capacity"] for w in workers] == [32, 32]
+        assert sum(w["batching"]["requests"] for w in workers) == 6
+
     def test_score_routes_to_owning_worker(self, artifacts, router_for):
         reference = RecommenderService(artifacts["DenseV1"]["npz"], cache_size=0)
         _, base = router_for(artifacts["DenseV1"]["bundle"], n_workers=2, n_shards=2)

@@ -5,8 +5,9 @@ Hypothesis property tests over :func:`shard_for_user` / :class:`ShardMap`
 calls (the hash is unsalted), striping covers every shard, and
 re-sharding ``N → M`` preserves the user → *scores* mapping (what moves
 is only which backend answers, never what it answers).  Plus the
-:class:`ShardedService` facade contracts: ownership enforcement,
-cross-shard batching, swap propagation, and stats aggregation.
+contracts of a shard-owning :class:`RecommenderService`
+(``shards=(owned, n_shards)``, one per pool worker): ownership
+enforcement, cross-shard batching, swap propagation, and stats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.serve import (
     RecommenderService,
     ShardMap,
     ShardRoutingError,
-    ShardedService,
     export_payload,
     shard_for_user,
 )
@@ -108,7 +108,9 @@ def flat(artifact_path):
     return RecommenderService(artifact_path, cache_size=0)
 
 
-class TestShardedService:
+class TestShardOwnership:
+    """``RecommenderService(shards=(owned, n_shards))``: one service per worker."""
+
     def test_resharding_preserves_user_to_scores_mapping(self, artifact_path, flat):
         """N → M re-shard: every user's response is unchanged, bit for bit.
 
@@ -116,13 +118,18 @@ class TestShardedService:
         2 to 5 shards re-routes users to different backends but must
         never change what any user receives.
         """
-        n_users = flat.n_users
-        before = ShardedService(artifact_path, n_shards=2)
-        after = ShardedService(artifact_path, n_shards=5)
-        for user in range(n_users):
+        deployments = {
+            n_shards: [
+                RecommenderService(artifact_path, shards=((s,), n_shards))
+                for s in range(n_shards)
+            ]
+            for n_shards in (2, 5)
+        }
+        for user in range(flat.n_users):
             ref_items, ref_scores = flat.recommend(user, k=10)
-            for deployment in (before, after):
-                items, scores = deployment.recommend(user, k=10)
+            for n_shards, services in deployments.items():
+                owner = services[shard_for_user(user, n_shards)]
+                items, scores = owner.recommend(user, k=10)
                 np.testing.assert_array_equal(items, ref_items, err_msg=f"user {user}")
                 np.testing.assert_array_equal(scores, ref_scores, err_msg=f"user {user}")
 
@@ -130,7 +137,7 @@ class TestShardedService:
         """A worker owning a shard subset 421s every user it does not own."""
         n_shards = 4
         owned = (0, 2)
-        worker = ShardedService(artifact_path, n_shards=n_shards, shards=owned)
+        worker = RecommenderService(artifact_path, shards=(owned, n_shards))
         owned_set = set(owned)
         seen_owned = seen_foreign = 0
         for user in range(worker.n_users):
@@ -145,14 +152,29 @@ class TestShardedService:
         assert seen_owned and seen_foreign  # the tiny dataset hits both paths
 
     def test_recommend_batch_routes_across_shards(self, artifact_path, flat):
-        sharded = ShardedService(artifact_path, n_shards=3)
+        sharded = RecommenderService(artifact_path, shards=((0, 1, 2), 3))
         users = [5, 0, 17, 5, 42, 3]  # duplicates and shard-mixing on purpose
+        assert len({shard_for_user(u, 3) for u in users}) > 1
         items, scores = sharded.recommend_batch(users, k=8)
         assert items.shape == (len(users), 8)
         for row, user in enumerate(users):
             ref_items, ref_scores = flat.recommend(user, k=8)
             np.testing.assert_array_equal(items[row], ref_items)
             np.testing.assert_array_equal(scores[row], ref_scores)
+
+    def test_mixed_batch_with_foreign_user_changes_nothing(self, artifact_path):
+        """One foreign user fails the whole batch before any counter or cache moves."""
+        worker = RecommenderService(artifact_path, cache_size=64, shards=((0,), 3))
+        owned = [u for u in range(worker.n_users) if shard_for_user(u, 3) == 0]
+        foreign = next(u for u in range(worker.n_users) if shard_for_user(u, 3) != 0)
+        worker.recommend(owned[0], k=4)  # one cached entry to watch
+        before = worker.stats()
+        with pytest.raises(ShardRoutingError):
+            worker.recommend_batch([owned[1], foreign, owned[2]], k=4)
+        after = worker.stats()
+        assert after["requests"] == before["requests"]
+        assert after["cache"] == before["cache"]
+        assert after["latency"]["count"] == before["latency"]["count"]
 
     def test_swap_propagates_to_every_shard(self, artifact_path, tiny_split, tmp_path):
         rng = np.random.default_rng(77)
@@ -165,37 +187,38 @@ class TestShardedService:
             train=train,
             model_name="DenseV2",
         )
-        sharded = ShardedService(artifact_path, n_shards=3)
+        sharded = RecommenderService(artifact_path, shards=((0, 1, 2), 3))
         version = sharded.swap_artifact(other)
         assert version == 2
         reference = RecommenderService(other, cache_size=0)
+        shards_hit = set()
         for user in range(0, sharded.n_users, 7):
             items, scores = sharded.recommend(user, k=6)
             ref_items, ref_scores = reference.recommend(user, k=6)
             np.testing.assert_array_equal(items, ref_items)
             np.testing.assert_array_equal(scores, ref_scores)
+            shards_hit.add(shard_for_user(user, 3))
+        assert shards_hit == {0, 1, 2}
         stats = sharded.stats()
-        assert stats["artifact"]["version"] == 2
-        assert all(s["artifact"]["swaps"] == 1 for s in stats["shards"].values())
+        assert stats["artifact"] == {"version": 2, "swaps": 1}
 
-    def test_stats_aggregate_request_totals(self, artifact_path):
-        sharded = ShardedService(artifact_path, n_shards=3)
+    def test_stats_aggregate_request_totals(self, artifact_path, flat):
+        sharded = RecommenderService(artifact_path, shards=((0, 1, 2), 3))
         for user in range(12):
             sharded.recommend(user, k=3)
         sharded.score(0, [0, 1, 2])
         stats = sharded.stats()
-        assert stats["n_shards"] == 3
-        assert stats["owned_shards"] == [0, 1, 2]
+        assert stats["shards"] == {"owned": [0, 1, 2], "n_shards": 3}
         assert stats["requests"] == {"recommend": 12, "score": 1, "total": 13}
-        per_shard = sum(
-            s["requests"]["recommend"] for s in stats["shards"].values()
-        )
-        assert per_shard == 12
+        assert stats["latency"]["count"] == 13
+        assert flat.stats()["shards"] is None
 
     def test_invalid_shapes_rejected(self, artifact_path):
         with pytest.raises(BadRequestError):
-            ShardedService(artifact_path, n_shards=0)
+            RecommenderService(artifact_path, shards=((0,), 0))
         with pytest.raises(BadRequestError):
-            ShardedService(artifact_path, n_shards=2, shards=())
+            RecommenderService(artifact_path, shards=((), 2))
         with pytest.raises(BadRequestError):
-            ShardedService(artifact_path, n_shards=2, shards=(0, 2))
+            RecommenderService(artifact_path, shards=((0, 2), 2))
+        with pytest.raises(BadRequestError):
+            RecommenderService(artifact_path, shards=((-1, 0), 2))
