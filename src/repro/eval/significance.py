@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["wilcoxon_improvement"]
 
@@ -31,5 +30,9 @@ def wilcoxon_improvement(
     diff = candidate - baseline
     if np.allclose(diff, 0.0):
         return 1.0, False
+    # Imported here: scipy.stats is most of `import repro`'s time,
+    # and only significance testing needs it.
+    from scipy import stats
+
     result = stats.wilcoxon(candidate, baseline, alternative="greater")
     return float(result.pvalue), bool(result.pvalue < alpha)

@@ -195,7 +195,22 @@ def validate_model_artifact(
             elif len(seen_indices) and isinstance(dataset.get("n_items"), int):
                 if seen_indices.min() < 0 or seen_indices.max() >= dataset["n_items"]:
                     problems.append("seen/indices contains item ids out of range")
+                if not _rows_strictly_increasing(seen_indptr, seen_indices):
+                    problems.append("seen/indices rows must be strictly increasing")
     return problems
+
+
+def _rows_strictly_increasing(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Every CSR row sorted without duplicates (checked in one pass).
+
+    Fold-in copies untouched seen rows verbatim and ``searchsorted``s
+    them, so both rely on this.
+    """
+    rising = np.diff(indices) > 0
+    starts = np.asarray(indptr[:-1])
+    starts = starts[(starts > 0) & (starts < len(indices))]
+    rising[starts - 1] = True  # a row start may drop below its predecessor
+    return bool(rising.all())
 
 
 def export_payload(

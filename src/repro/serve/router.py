@@ -131,13 +131,18 @@ class _RouterHandler(JSONRequestHandler):
         """Forward ``request()`` → ``(user, method, path, body)`` to the user's worker.
 
         The worker's reply is relayed unchanged.  A malformed request is a
-        400; an unreachable worker (any other :class:`ServeError`) is a 502.
+        400; an unreachable worker (any other :class:`ServeError`) is a 502,
+        logged with the worker index.
         """
+        worker = None
         try:
             user, method, path, body = request()
-            status, payload = self.server.forward(self._route(user), method, path, body)
+            worker = self._route(user)
+            status, payload = self.server.forward(worker, method, path, body)
         except ServeError as exc:
             code = 502 if not isinstance(exc, BadRequestError) else exc.http_status
+            if code == 502:
+                logger.warning("worker %s failed, replying 502: %s", worker, exc)
             self._reply(code, {"error": str(exc), "type": type(exc).__name__})
             return
         self._reply_raw(status, payload)

@@ -23,7 +23,7 @@ CLI: ``python -m repro stream {fold,replay,bench}`` and
 ``python -m repro serve --fold-in events.json``.
 """
 
-from .append import fold_into_artifact, fold_into_service
+from .append import fold_into_artifact, fold_into_service, fold_seen_csr, fold_seen_csr_reference
 from .events import EVENTS_SCHEMA, Event, IngestReport, StreamState, read_events, write_events
 from .expand import AttachDecision, argmax_tiebreak, attach_tag, attach_tags, place_tag_embedding
 from .foldin import (
@@ -51,6 +51,8 @@ __all__ = [
     "origin_rows",
     "fold_into_artifact",
     "fold_into_service",
+    "fold_seen_csr",
+    "fold_seen_csr_reference",
     "AttachDecision",
     "argmax_tiebreak",
     "attach_tag",

@@ -15,7 +15,10 @@
   their baseline interaction count.  A user whose events were all
   duplicates has no pending delta and is untouched.
 * The seen-CSR is extended with the union of baseline and evidence, so
-  ``exclude_seen`` keeps masking everything the user ever touched.
+  ``exclude_seen`` keeps masking everything the user ever touched.  It
+  is spliced (:func:`fold_seen_csr`): only pending users' rows are
+  recomputed, every other row is copied, so a fold costs time in
+  proportion to the rows it changes.
 * Provenance lands in ``meta["stream"]``:
   ``{"generation", "folded_users", "folded_items"}`` — surfaced by
   ``RecommenderService.stats()`` and the golden fixtures.
@@ -44,7 +47,12 @@ from .foldin import (
     origin_rows,
 )
 
-__all__ = ["fold_into_artifact", "fold_into_service"]
+__all__ = [
+    "fold_into_artifact",
+    "fold_into_service",
+    "fold_seen_csr",
+    "fold_seen_csr_reference",
+]
 
 _USER_SIDE = ("user", "user_aspect", "user_ir", "user_tg", "alpha")
 _ITEM_SIDE = ("item", "item_aspect", "item_bias", "item_ir", "item_tg")
@@ -61,6 +69,71 @@ def _grow(arr: np.ndarray, rows: int) -> np.ndarray:
 def _apply(arrays: dict, index: int, solved: dict) -> None:
     for name, value in solved.items():
         arrays[name][index] = value
+
+
+def fold_seen_csr(
+    seen_indptr: np.ndarray, seen_indices: np.ndarray, state: StreamState, n_users: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The seen-CSR over ``n_users`` rows: baseline ∪ the state's evidence.
+
+    A splice: only the state's pending users get a new row
+    (``np.union1d`` of baseline and evidence); every other baseline row
+    is copied verbatim, as at most ``len(pending) + 1`` contiguous slices
+    of ``seen_indices``.  Users past the baseline without evidence get
+    empty rows.  Cost is O(pending rows + one memcpy of the CSR).
+
+    Precondition: every baseline row is strictly increasing (the
+    ``repro.model/v1`` validator checks it), so a copied row already
+    equals its union with no evidence — bit-identical to
+    :func:`fold_seen_csr_reference`.
+    """
+    base_users = len(seen_indptr) - 1
+    lengths = np.zeros(n_users, dtype=np.int64)
+    lengths[:base_users] = np.diff(seen_indptr)
+    pending = state.pending_users().tolist()
+    rows = []
+    for user in pending:
+        if user < base_users:
+            base = seen_indices[seen_indptr[user] : seen_indptr[user + 1]]
+        else:
+            base = np.empty(0, dtype=np.int64)
+        row = np.union1d(base, state.items_of(user)).astype(np.int64)
+        rows.append(row)
+        lengths[user] = len(row)
+    indptr = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+
+    def copy_untouched(start: int, stop: int) -> None:
+        if stop > start:
+            indices[indptr[start] : indptr[stop]] = seen_indices[seen_indptr[start] : seen_indptr[stop]]
+
+    start = 0  # first user of the current run of untouched baseline rows
+    for user, row in zip(pending, rows):
+        copy_untouched(start, min(user, base_users))
+        indices[indptr[user] : indptr[user + 1]] = row
+        start = user + 1
+    copy_untouched(start, base_users)
+    return indptr, indices
+
+
+def fold_seen_csr_reference(
+    seen_indptr: np.ndarray, seen_indices: np.ndarray, state: StreamState, n_users: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user twin of :func:`fold_seen_csr`: one ``np.union1d`` per row."""
+    base_users = len(seen_indptr) - 1
+    indptr = np.zeros(n_users + 1, dtype=np.int64)
+    chunks = []
+    for user in range(n_users):
+        if user < base_users:
+            base = seen_indices[seen_indptr[user] : seen_indptr[user + 1]]
+        else:
+            base = np.empty(0, dtype=np.int64)
+        row = np.union1d(base, state.items_of(user)).astype(np.int64)
+        chunks.append(row)
+        indptr[user + 1] = indptr[user] + len(row)
+    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return indptr, indices
 
 
 def fold_into_artifact(
@@ -109,8 +182,10 @@ def fold_into_artifact(
     for name in _USER_SIDE:
         if name in arrays:
             arrays[name] = _grow(arrays[name], out_n_users - n_users)
+    # One origin row (and one frozen-alpha median) per fold, not per new user.
+    user_origin = origin_rows(score_fn, artifact.arrays, side="user") if out_n_users > n_users else {}
     for user in range(n_users, out_n_users):
-        _apply(arrays, user, origin_rows(score_fn, artifact.arrays, side="user"))
+        _apply(arrays, user, user_origin)
 
     folded_users = []
     for user in state.pending_users().tolist():
@@ -124,21 +199,14 @@ def fold_into_artifact(
             weight = float(artifact.seen_indptr[user + 1] - artifact.seen_indptr[user])
         else:
             prior, weight = None, 0.0
-        _apply(arrays, user, solve_user(score_fn, arrays, items, prior, weight, ridge=ridge))
+        solved = solve_user(
+            score_fn, arrays, items, prior, weight, ridge=ridge, default_alpha=user_origin.get("alpha")
+        )
+        _apply(arrays, user, solved)
         folded_users.append(user)
 
     # -- seen-CSR: union of baseline and evidence -----------------------
-    indptr = np.zeros(out_n_users + 1, dtype=np.int64)
-    chunks = []
-    for user in range(out_n_users):
-        if user < n_users:
-            base = artifact.seen_indices[artifact.seen_indptr[user] : artifact.seen_indptr[user + 1]]
-        else:
-            base = np.empty(0, dtype=np.int64)
-        row = np.union1d(base, state.items_of(user)).astype(np.int64)
-        chunks.append(row)
-        indptr[user + 1] = indptr[user] + len(row)
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    indptr, indices = fold_seen_csr(artifact.seen_indptr, artifact.seen_indices, state, out_n_users)
 
     meta = copy.deepcopy(artifact.meta)
     meta["dataset"]["n_users"] = out_n_users

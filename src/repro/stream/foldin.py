@@ -164,6 +164,13 @@ def _alpha_default(arrays: dict) -> float:
     return float(np.median(alpha)) if alpha.size else 1.0
 
 
+def _user_alpha(arrays: dict, prior: dict | None, default_alpha: float | None) -> float:
+    """A folded user's alpha: their own when existing, else the default."""
+    if prior is not None:
+        return float(prior["alpha"])
+    return _alpha_default(arrays) if default_alpha is None else float(default_alpha)
+
+
 # ----------------------------------------------------------------------
 # User fold-in
 # ----------------------------------------------------------------------
@@ -174,6 +181,7 @@ def fold_in_user(
     prior: dict | None = None,
     prior_weight: float = 0.0,
     ridge: float = RIDGE,
+    default_alpha: float | None = None,
 ) -> dict:
     """Solve one user's frozen-array rows from their evidence items.
 
@@ -191,6 +199,9 @@ def fold_in_user(
         Evidence weight of the prior — the user's baseline interaction
         count.  With ``item_ids`` empty and a prior, the prior is
         returned verbatim (copies).
+    default_alpha:
+        A new two-channel user's ``alpha``; ``None`` takes the median of
+        ``arrays["alpha"]``.  Callers folding many users compute it once.
 
     Returns a dict of user-side array names → new rows, e.g.
     ``{"user": (d,)}`` or ``{"user_ir": ..., "user_tg": ..., "alpha": float}``.
@@ -242,7 +253,7 @@ def fold_in_user(
     out = {
         "user_ir": _tangent_mean(arrays["item_ir"][item_ids], lorentz, ir0, prior_weight),
         "user_tg": _tangent_mean(arrays["item_tg"][item_ids], lorentz, tg0, prior_weight),
-        "alpha": float(prior["alpha"]) if prior is not None else _alpha_default(arrays),
+        "alpha": _user_alpha(arrays, prior, default_alpha),
     }
     return out
 
@@ -254,6 +265,7 @@ def fold_in_user_reference(
     prior: dict | None = None,
     prior_weight: float = 0.0,
     ridge: float = RIDGE,
+    default_alpha: float | None = None,
 ) -> dict:
     """Pure-numpy exact twin of :func:`fold_in_user` (never backend-routed)."""
     _require_foldable(score_fn)
@@ -308,7 +320,7 @@ def fold_in_user_reference(
     return {
         "user_ir": _tangent_mean_reference(arrays["item_ir"][item_ids], lorentz, ir0, prior_weight),
         "user_tg": _tangent_mean_reference(arrays["item_tg"][item_ids], lorentz, tg0, prior_weight),
-        "alpha": float(prior["alpha"]) if prior is not None else _alpha_default(arrays),
+        "alpha": _user_alpha(arrays, prior, default_alpha),
     }
 
 

@@ -94,6 +94,26 @@ class TestValidator:
         )
         assert any("out of range" in p for p in problems)
 
+    def test_exported_seen_rows_are_strictly_increasing(self, artifact_path):
+        artifact = load_artifact(artifact_path)
+        assert validate_model_artifact(
+            artifact.meta, artifact.arrays, artifact.seen_indptr, artifact.seen_indices
+        ) == []
+
+    @pytest.mark.parametrize("defect", ["unsorted", "duplicate"])
+    def test_seen_rows_must_be_strictly_increasing(self, artifact_path, defect):
+        artifact = load_artifact(artifact_path)
+        indptr, indices = artifact.seen_indptr, artifact.seen_indices.copy()
+        # a user past the first whose row holds at least two items
+        user = next(u for u in range(1, artifact.n_users) if indptr[u + 1] - indptr[u] >= 2)
+        lo = int(indptr[user])
+        if defect == "unsorted":
+            indices[lo], indices[lo + 1] = indices[lo + 1], indices[lo]
+        else:
+            indices[lo + 1] = indices[lo]
+        problems = validate_model_artifact(artifact.meta, artifact.arrays, indptr, indices)
+        assert problems == ["seen/indices rows must be strictly increasing"]
+
 
 class TestExportPayload:
     def test_refuses_missing_required_array(self, tiny_split, tmp_path):

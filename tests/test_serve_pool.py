@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import os
 import signal
 import threading
@@ -161,7 +162,7 @@ class TestPoolParity:
             assert status == 421
             assert body["type"] == "ShardRoutingError"
 
-    def test_dead_worker_surfaces_as_502_not_collapse(self, artifacts, router_for):
+    def test_dead_worker_surfaces_as_502_not_collapse(self, artifacts, router_for, caplog):
         pool, base = router_for(artifacts["DenseV1"]["bundle"], n_workers=2, n_shards=2)
         n_users = RecommenderService(artifacts["DenseV1"]["npz"]).n_users
         dead_worker = 1
@@ -175,10 +176,18 @@ class TestPoolParity:
             u for u in range(n_users)
             if pool.shard_map.worker_for_user(u) != dead_worker
         )
-        status, body = _get(base, f"/recommend?user={victim}&k=3")
+        with caplog.at_level(logging.WARNING, logger="repro.serve.router"):
+            status, body = _get(base, f"/recommend?user={victim}&k=3")
         assert status == 502, body
+        failures = [r for r in caplog.records if r.name == "repro.serve.router"]
+        assert len(failures) == 1 and failures[0].levelno == logging.WARNING
+        assert f"worker {dead_worker} failed" in failures[0].getMessage()
+        caplog.clear()
         status, _ = _get(base, f"/recommend?user={survivor}&k=3")
         assert status == 200
+        status, _ = _get(base, "/recommend?k=3")  # no user: a 400, not logged
+        assert status == 400
+        assert not [r for r in caplog.records if r.name == "repro.serve.router"]
         status, health = _get(base, "/health")
         assert status == 503 and health["status"] == "degraded"
 

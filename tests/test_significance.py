@@ -1,5 +1,10 @@
 """Wilcoxon signed-rank helper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,3 +34,14 @@ class TestWilcoxon:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             wilcoxon_improvement(np.ones(3), np.ones(4))
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` is imported on first use, not by ``import repro``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, repro, repro.serve, repro.stream; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -175,6 +175,19 @@ def test_existing_user_fold_blends_prior_with_evidence(frozen, name):
     assert set(unseen.tolist()) <= set(folded.seen_items(user).tolist())
 
 
+def test_new_taxorec_users_take_the_frozen_alpha_median(frozen):
+    """Solved and gap-filled new users alike get ``median(frozen alpha)``."""
+    _, artifact = frozen("TaxoRec")
+    n = artifact.n_users
+    state = StreamState.from_artifact(artifact)
+    state.ingest([(n, 0), (n + 3, 1), (n + 3, 2), (0, artifact.n_items)])
+    folded = fold_into_artifact(artifact, state)
+    alpha = folded.arrays["alpha"]
+    assert alpha.shape == (n + 4,)
+    assert np.all(alpha[n:] == np.median(artifact.arrays["alpha"]))
+    np.testing.assert_array_equal(alpha[:n], artifact.arrays["alpha"])
+
+
 def test_dense_artifacts_raise_foldin_unsupported(frozen):
     _, artifact = frozen("Popularity")
     assert artifact.score_fn == "dense"

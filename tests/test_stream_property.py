@@ -6,6 +6,9 @@ Two ingest contracts (``repro.stream.events``):
   events — never of their order;
 * re-ingesting any batch is a no-op (idempotence on duplicates).
 
+One fold-in contract (``repro.stream.append``): splicing the seen-CSR
+over two folds in sequence gives the per-user reference's CSR.
+
 And three attach invariants (``repro.stream.expand``): routing a new tag
 into a live taxonomy never breaks subtree containment (every node's
 members stay a subset of its parent's), never duplicates a tag within a
@@ -27,7 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.manifolds import PoincareBall
-from repro.stream import StreamState, attach_tag, place_tag_embedding
+from repro.stream import (
+    StreamState,
+    attach_tag,
+    fold_seen_csr,
+    fold_seen_csr_reference,
+    place_tag_embedding,
+)
 from repro.taxonomy import Taxonomy, from_dict, to_dict
 
 pytestmark = pytest.mark.slow
@@ -72,6 +81,27 @@ def test_ingest_is_idempotent_on_duplicates(batch):
     assert _canonical(state) == before
     assert state.generation == generation
     assert first.accepted == state.n_events
+
+
+def _fold_twice(fold, batches, n_users: int = 4, n_items: int = 5):
+    """Fold ``batches`` one after another into an empty baseline CSR."""
+    indptr, indices = np.zeros(n_users + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for batch in batches:
+        state = StreamState(n_users, n_items, indptr, indices)
+        state.ingest(batch)
+        n_users = max([n_users, *[u + 1 for u in state.new_users().tolist()]])
+        n_items = max([n_items, *[i + 1 for i in state.new_items().tolist()]])
+        indptr, indices = fold(indptr, indices, state, n_users)
+    return indptr, indices
+
+
+@given(first=events_strategy, second=events_strategy)
+@settings(max_examples=60, deadline=None)
+def test_seen_csr_splice_matches_reference_over_two_folds(first, second):
+    fast = _fold_twice(fold_seen_csr, [first, second])
+    slow = _fold_twice(fold_seen_csr_reference, [first, second])
+    for got, want in zip(fast, slow):
+        np.testing.assert_array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -420,3 +420,72 @@ class TestFoldInDifferential:
                 "neg_sq_lorentz", arrays, empty, prior=prior, prior_weight=3.0
             )["user"],
         )
+
+
+# ----------------------------------------------------------------------
+# Streaming fold-in: seen-CSR splice
+# ----------------------------------------------------------------------
+class TestSeenCsrSpliceDifferential:
+    """The splice matches the per-user union loop bit for bit."""
+
+    N_USERS, N_ITEMS = 12, 15
+
+    def _baseline(self, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        rows = [
+            np.sort(rng.choice(self.N_ITEMS, size=rng.integers(0, 6), replace=False))
+            for _ in range(self.N_USERS)
+        ]
+        rows[3] = np.empty(0, dtype=np.int64)  # an empty baseline row
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+        indices = np.concatenate(rows).astype(np.int64)
+        return indptr, indices
+
+    def _assert_splice_matches(self, events, seed: int = 0):
+        from repro.stream import StreamState, fold_seen_csr, fold_seen_csr_reference
+
+        indptr, indices = self._baseline(seed)
+        state = StreamState(self.N_USERS, self.N_ITEMS, indptr, indices)
+        state.ingest(events)
+        n_users = max([self.N_USERS, *[u + 1 for u in state.new_users().tolist()]])
+        fast = fold_seen_csr(indptr, indices, state, n_users)
+        slow = fold_seen_csr_reference(indptr, indices, state, n_users)
+        for got, want in zip(fast, slow):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        return fast
+
+    def test_empty_state(self):
+        indptr, indices = self._baseline()
+        got_indptr, got_indices = self._assert_splice_matches([])
+        np.testing.assert_array_equal(got_indptr, indptr)
+        np.testing.assert_array_equal(got_indices, indices)
+
+    def test_duplicate_only_state(self):
+        indptr, indices = self._baseline()
+        events = [(u, int(i)) for u in range(self.N_USERS) for i in indices[indptr[u] : indptr[u + 1]]]
+        got_indptr, got_indices = self._assert_splice_matches(events)
+        np.testing.assert_array_equal(got_indptr, indptr)
+        np.testing.assert_array_equal(got_indices, indices)
+
+    def test_existing_users_only(self):
+        self._assert_splice_matches([(1, 0), (1, 14), (3, 2), (7, 5), (7, 6), (8, 9)])
+
+    def test_new_users_with_id_gaps(self):
+        gap = self.N_USERS + 5  # no events for N_USERS .. N_USERS + 4
+        indptr, _ = self._assert_splice_matches([(gap, 1), (gap, 4), (self.N_USERS, 2)])
+        assert len(indptr) == gap + 2
+        assert np.all(np.diff(indptr)[self.N_USERS + 1 : gap] == 0)
+
+    def test_new_items_touched_by_existing_users(self):
+        self._assert_splice_matches([(2, self.N_ITEMS), (2, self.N_ITEMS + 3), (5, self.N_ITEMS + 1)])
+
+    def test_first_and_last_user_pending(self):
+        self._assert_splice_matches([(0, 3), (0, 11), (self.N_USERS - 1, 7), (self.N_USERS - 1, 0)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        users = rng.integers(0, self.N_USERS + 4, size=30)
+        items = rng.integers(0, self.N_ITEMS + 3, size=30)
+        self._assert_splice_matches(list(zip(users.tolist(), items.tolist())), seed=seed)
